@@ -3,14 +3,24 @@
 //! ```text
 //! dlog-server --dir /var/lib/dlog/s1 --listen 127.0.0.1:7001 --id 1
 //!             [--shards 4] [--track-kb 64] [--nvram-kb 1024] [--no-fsync true]
-//!             [--archive-dir /var/lib/dlog/archive1] [--archive-interval-ms 1000]
+//!             [--no-obs true] [--archive-dir /var/lib/dlog/archive1]
+//!             [--archive-interval-ms 1000]
 //!             [--force-coalesce-us 2000] [--force-coalesce-max 64]
+//! dlog-server --dir /var/lib/dlog/s1 --verify true [--track-kb 64]
 //! ```
 //!
 //! The server stores every client's records in one sequential CRC-framed
 //! stream under `--dir`, buffers them in a simulated NVRAM device (within
 //! this process; a crash of the whole process relies on the fsync'd
 //! stream), and serves the §4.2 protocol to any client that shows up.
+//! With `--shards N` above one, the logical logs are split over N
+//! shards, each with its own stream under `--dir/shard-K`.
+//!
+//! Every shard count runs the same event loop as the tests and benches:
+//! `ShardSupervisor` with one loop per shard (one loop straight on the
+//! socket at `--shards 1`). The process runs until the socket fails, then
+//! exits with status 1 and `socket error: …`. `--verify true` audits the
+//! directory offline instead of serving it.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -18,8 +28,8 @@ use std::process::exit;
 use dlog_cli::Args;
 use dlog_net::udp::UdpEndpoint;
 use dlog_net::wire::NodeAddr;
-use dlog_net::Endpoint;
 use dlog_server::gen::GenStore;
+use dlog_server::shard::ShardSupervisor;
 use dlog_server::{LogServer, ServerConfig};
 use dlog_storage::{LogStore, NvramDevice, StoreOptions};
 use dlog_types::ServerId;
@@ -159,48 +169,10 @@ fn run() -> Result<(), String> {
     let bound = ep.socket_addr().map_err(|e| e.to_string())?;
     eprintln!("dlog-server {id}: serving {dir} on {bound} with {shards} shard(s) (ctrl-c to stop)");
 
-    if shards > 1 {
-        // Sharded: the supervisor owns the socket's receive side and
-        // routes by logical log; this thread just keeps the process up.
-        let _sup = dlog_server::shard::ShardSupervisor::spawn(servers, ep);
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        }
-    }
-    let mut server = servers.pop().expect("one shard");
-
-    loop {
-        // With forces pending, poll instead of blocking so the group
-        // commits the moment the socket drains (the window is the
-        // maximum extra latency, not a fixed delay).
-        let timeout = if server.has_pending_forces() {
-            std::time::Duration::ZERO
-        } else {
-            std::time::Duration::from_millis(100)
-        };
-        match ep.recv(timeout) {
-            Ok(Some((from, pkt))) => {
-                for (to, reply) in server.handle(from, &pkt) {
-                    let _ = ep.send(to, &reply);
-                }
-                for (to, reply) in server.force_tick() {
-                    let _ = ep.send(to, &reply);
-                }
-            }
-            Ok(None) => {
-                if server.has_pending_forces() {
-                    for (to, reply) in server.flush_pending_forces() {
-                        let _ = ep.send(to, &reply);
-                    }
-                } else if let Err(e) = server.archive_tick() {
-                    // Retried next interval; the watermark holds retention
-                    // back until the upload goes through.
-                    eprintln!("dlog-server {id}: archive round failed: {e}");
-                }
-            }
-            Err(e) => return Err(format!("socket error: {e}")),
-        }
-    }
+    // One event loop per shard, for every --shards value; this thread
+    // just waits for them. They end only when the socket fails.
+    let server = ShardSupervisor::spawn(servers, ep);
+    Err(format!("socket error: {}", server.wait()))
 }
 
 fn main() {
@@ -210,7 +182,8 @@ fn main() {
             "usage: dlog-server --dir DIR --listen HOST:PORT [--id N] [--shards 1] \
              [--track-kb 64] [--nvram-kb 1024] [--no-fsync true] [--no-obs true] \
              [--archive-dir DIR] [--archive-interval-ms 1000] \
-             [--force-coalesce-us 0] [--force-coalesce-max 64]"
+             [--force-coalesce-us 0] [--force-coalesce-max 64]\n       \
+             dlog-server --dir DIR --verify true [--track-kb 64]"
         );
         exit(1);
     }

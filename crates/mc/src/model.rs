@@ -186,7 +186,7 @@ pub struct McConfig {
     pub servers: u64,
     /// Shard event loops per server. With more than one, every packet a
     /// server receives is routed to the shard its logical log hashes to
-    /// (the same pure `LogId::shard` the real dispatcher uses), each
+    /// (the same pure `LogId::shard` the real router uses), each
     /// shard owns a private store and obligation table, and the
     /// `router-stability` invariant checks that a client's records only
     /// ever land on that client's shard.
@@ -512,7 +512,7 @@ impl McWorld {
     }
 
     /// The shard client `client`'s logical log hashes to — the same
-    /// pure function the real dispatcher applies to the wire packet.
+    /// pure function the real router applies to the wire packet.
     fn client_shard(&self, client: ClientId) -> usize {
         LogId::for_client(client).shard(self.cfg.shards as usize)
     }
@@ -597,10 +597,9 @@ impl McWorld {
             if self.crashed.contains_key(&to) {
                 return Err(format!("deliver to crashed server {to}"));
             }
-            // The dispatcher's routing decision: hash the packet's
-            // logical log to a shard. Packets with no route key (none
-            // occur in the modelled workload, but keep the dispatcher's
-            // semantics) are broadcast to every shard.
+            // The router's decision: hash the packet's logical log to a
+            // shard. Packets with no route key (none occur in the
+            // modelled workload) are broadcast to every shard.
             let shard = env
                 .pkt
                 .route_key()

@@ -22,6 +22,8 @@
 //!   partitions) used by tests and simulations;
 //! * [`udp`] — the same endpoint interface over real `std::net` UDP
 //!   sockets, demonstrating the protocol on an actual network;
+//! * [`queue`] — the per-shard frame queues both transports route into
+//!   for a sharded server ([`RoutedEndpoint`]);
 //! * [`pool`] — the fixed-size buffer pool behind the zero-copy wire
 //!   path: packets are encoded single-pass into pooled buffers
 //!   ([`Packet::encode_into`](wire::Packet::encode_into)) and decoded
@@ -41,11 +43,13 @@
 pub mod conn;
 pub mod mem;
 pub mod pool;
+pub mod queue;
 pub mod udp;
 pub mod wire;
 
-pub use mem::{FaultPlan, MemEndpoint, MemNetwork, MemShardRx};
+pub use mem::{FaultPlan, MemEndpoint, MemNetwork};
 pub use pool::BufPool;
+pub use queue::ShardRx;
 pub use wire::{Message, NodeAddr, Packet, Request, Response, MAX_PACKET_BYTES};
 
 use std::io;
@@ -87,31 +91,19 @@ pub trait Endpoint: Send {
     }
 }
 
-/// One shard's receive handle on a [`RoutedEndpoint`].
-pub trait ShardRx: Send + 'static {
-    /// Receive the next packet routed to this shard, waiting up to
-    /// `timeout`. `Duration::ZERO` polls without blocking.
-    ///
-    /// # Errors
-    /// Propagates transport failures; a timeout yields `Ok(None)`.
-    fn recv(&mut self, timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>>;
-}
-
 /// An endpoint whose transport routes inbound frames to per-shard
 /// receive queues *before* decode, from the wire header's log hint
-/// ([`Packet::peek_route_hint`](wire::Packet::peek_route_hint)).
-///
-/// The shard supervisor skips its dispatcher thread on such endpoints:
-/// the sending thread picks the destination queue, so a packet crosses
-/// exactly one thread boundary on its way into a shard loop. Transports
-/// without native routing (UDP) simply don't implement this and get the
-/// dispatcher instead.
+/// ([`Packet::peek_route_hint`](wire::Packet::peek_route_hint)): a
+/// nonzero hint goes to the shard it hashes to, a zero hint to every
+/// shard. The in-memory network steers on the sending thread, so a
+/// packet crosses exactly one thread boundary on its way into a shard
+/// loop; the UDP endpoint steers on a router thread that owns the
+/// socket's receive side.
 pub trait RoutedEndpoint: Endpoint {
-    /// The per-shard receive handle type.
-    type Rx: ShardRx;
-
     /// Split the receive side into `shards` routed queues (clamped to at
-    /// least one). The endpoint's own [`Endpoint::recv`] yields nothing
-    /// afterwards; replies still go out through it from any thread.
-    fn shard_rx(&self, shards: usize) -> Vec<Self::Rx>;
+    /// least one). Receive through the returned handles only: the
+    /// endpoint's own [`Endpoint::recv`] is rejected (in-memory) or races
+    /// the router (UDP) afterwards. Replies still go out through the
+    /// endpoint from any thread.
+    fn shard_rx(&self, shards: usize) -> Vec<ShardRx>;
 }

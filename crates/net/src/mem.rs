@@ -13,19 +13,20 @@
 //! refcount bumps, not copies), and receivers decode payload views
 //! straight out of the shared buffer.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::pool::BufPool;
+use crate::queue::{steer, EndpointQueue};
 use crate::wire::{NodeAddr, Packet, MAX_PACKET_BYTES};
-use crate::Endpoint;
+use crate::{Endpoint, RoutedEndpoint, ShardRx};
 
 /// Fault-injection parameters. All probabilities are per-packet.
 #[derive(Clone, Copy, Debug)]
@@ -96,70 +97,15 @@ pub struct NetStats {
     pub routed: u64,
 }
 
-/// One endpoint's delivery queue, with its own lock and condvar so a
-/// send wakes exactly the destination thread — never the whole cluster.
-/// On a loaded box the difference between `notify_one` on the target and
-/// a global `notify_all` is the difference between one context switch
-/// per packet and N.
-struct EndpointQueue {
-    inbox: Mutex<Inbox>,
-    cv: Condvar,
-}
-
-impl EndpointQueue {
-    fn new() -> Arc<EndpointQueue> {
-        Arc::new(EndpointQueue {
-            inbox: Mutex::new(Inbox::default()),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Push one frame and wake a sleeping receiver (skipping the notify
-    /// syscall entirely when the receiver is running or spin-polling).
-    fn push(&self, from: NodeAddr, bytes: Arc<Vec<u8>>) {
-        let mut b = self.inbox.lock();
-        b.q.push_back((from, bytes));
-        let wake = b.sleepers > 0;
-        drop(b);
-        if wake {
-            self.cv.notify_one();
-        }
-    }
-
-    /// Drop everything in flight (node marked down).
-    fn clear(&self) {
-        self.inbox.lock().q.clear();
-    }
-}
-
 /// Where an endpoint's inbound frames land: one queue, or one queue per
 /// shard with the pick made from the encoded header's log hint at
-/// delivery time. Routed delivery is the transport-level twin of the
-/// shard supervisor's dispatcher — in-process the *sending* thread is
-/// the dispatcher, so a routed frame reaches its shard loop with no
-/// extra thread hop and no second queue transfer.
+/// delivery time (`steer`). In-process the *sending* thread is the
+/// router, so a routed frame reaches its shard loop with no extra
+/// thread hop and no second queue transfer.
 enum Route {
     Single(Arc<EndpointQueue>),
     Sharded(Arc<[Arc<EndpointQueue>]>),
 }
-
-/// The queue plus a count of receivers blocked on the condvar, guarded
-/// by the same mutex: a sender that sees `sleepers == 0` skips the
-/// notify syscall entirely (the receiver is running, or spin-polling,
-/// and will find the packet itself), and the shared lock makes the
-/// check race-free — a receiver increments before releasing the lock to
-/// sleep, so a sender can never observe stale zero.
-#[derive(Default)]
-struct Inbox {
-    q: VecDeque<(NodeAddr, Arc<Vec<u8>>)>,
-    sleepers: u32,
-}
-
-/// Yields a receiver burns on an empty queue before paying the futex
-/// sleep. On an oversubscribed box the sender is usually runnable:
-/// `yield_now` lets it push and the next poll finds the packet, saving
-/// the sleep/wake syscall pair on both sides of every round trip.
-const SPIN_YIELDS: u32 = 64;
 
 /// Read-mostly cluster topology: which endpoints exist, which links are
 /// severed, which nodes are down. Senders and receivers take the read
@@ -421,9 +367,8 @@ impl MemNetwork {
 
     /// Enqueue one frame at its resolved destination: straight into a
     /// single queue, or — for a shard-routed endpoint — into the queue
-    /// the header's log hint hashes to, with zero-hint control frames
-    /// fanned to every shard (the same broadcast rule the supervisor's
-    /// dispatcher applies to `route_key() == None` traffic).
+    /// the header's log hint hashes to, with zero-hint frames fanned to
+    /// every shard.
     fn enqueue_routed(&self, route: &Route, from: NodeAddr, bytes: &Arc<Vec<u8>>) {
         let stats = &self.inner.stats;
         match route {
@@ -431,23 +376,16 @@ impl MemNetwork {
                 stats.delivered.fetch_add(1, Ordering::Relaxed);
                 ep.push(from, Arc::clone(bytes));
             }
-            Route::Sharded(eps) => match Packet::peek_route_hint(bytes) {
-                Some(id) => {
-                    if let Some(ep) = eps.get(id.shard(eps.len())) {
-                        stats.delivered.fetch_add(1, Ordering::Relaxed);
-                        stats.routed.fetch_add(1, Ordering::Relaxed);
-                        ep.push(from, Arc::clone(bytes));
-                    }
-                }
-                None => {
+            Route::Sharded(eps) => {
+                if steer(eps, from, bytes) {
+                    stats.delivered.fetch_add(1, Ordering::Relaxed);
+                    stats.routed.fetch_add(1, Ordering::Relaxed);
+                } else {
                     stats
                         .delivered
                         .fetch_add(eps.len() as u64, Ordering::Relaxed);
-                    for ep in eps.iter() {
-                        ep.push(from, Arc::clone(bytes));
-                    }
                 }
-            },
+            }
         }
     }
 
@@ -474,46 +412,7 @@ impl MemNetwork {
                 ));
             }
         };
-        Ok(recv_from(&ep, timeout))
-    }
-}
-
-/// Pop one frame from `ep` within `timeout` and decode it zero-copy:
-/// payloads are views into the pooled buffer; dropping the handle leaves
-/// the buffer parked in the pool until those views are released. Shared
-/// by single-queue receive and per-shard receive handles. A corrupt
-/// datagram is dropped (`None`), as a NIC would.
-fn recv_from(ep: &EndpointQueue, timeout: Duration) -> Option<(NodeAddr, Packet)> {
-    let deadline = Instant::now() + timeout;
-    let mut spins = 0u32;
-    loop {
-        {
-            let mut b = ep.inbox.lock();
-            loop {
-                if let Some((from, bytes)) = b.q.pop_front() {
-                    drop(b);
-                    return match Packet::decode_shared(&bytes) {
-                        Ok(p) => Some((from, p)),
-                        Err(_) => None,
-                    };
-                }
-                if Instant::now() >= deadline {
-                    return None;
-                }
-                if spins < SPIN_YIELDS {
-                    // Cooperative poll: release the lock and cede the
-                    // CPU below so the sender can run, then re-check —
-                    // cheaper than a futex sleep when the packet is
-                    // about to arrive anyway.
-                    break;
-                }
-                b.sleepers += 1;
-                ep.cv.wait_until(&mut b, deadline);
-                b.sleepers -= 1;
-            }
-        }
-        spins += 1;
-        std::thread::yield_now();
+        ep.recv(timeout)
     }
 }
 
@@ -566,32 +465,11 @@ impl Endpoint for MemEndpoint {
     }
 }
 
-/// One shard's receive handle on a routed [`MemEndpoint`]: a cached
-/// reference to that shard's queue, so receiving never takes the
-/// topology lock. Handles go stale when the node reboots (a fresh
-/// endpoint re-registers its queues), matching a socket closed on crash.
-pub struct MemShardRx {
-    queue: Arc<EndpointQueue>,
-}
-
-impl crate::ShardRx for MemShardRx {
-    fn recv(&mut self, timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
-        Ok(recv_from(&self.queue, timeout))
-    }
-}
-
-impl crate::RoutedEndpoint for MemEndpoint {
-    type Rx = MemShardRx;
-
-    fn shard_rx(&self, shards: usize) -> Vec<MemShardRx> {
+impl RoutedEndpoint for MemEndpoint {
+    fn shard_rx(&self, shards: usize) -> Vec<ShardRx> {
         let queues: Vec<Arc<EndpointQueue>> =
             (0..shards.max(1)).map(|_| EndpointQueue::new()).collect();
-        let rxs = queues
-            .iter()
-            .map(|q| MemShardRx {
-                queue: Arc::clone(q),
-            })
-            .collect();
+        let rxs = queues.iter().map(|q| ShardRx(Arc::clone(q))).collect();
         self.net
             .inner
             .topo

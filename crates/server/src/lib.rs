@@ -22,7 +22,8 @@
 //! [`LogServer::handle`] is sans-I/O — it maps one incoming packet to a
 //! list of outgoing packets — so the full protocol is unit-testable
 //! without threads; [`runner::ServerRunner`] drives it over any
-//! [`dlog_net::Endpoint`].
+//! [`dlog_net::Endpoint`], and [`shard::ShardSupervisor`] runs one such
+//! loop per shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -336,12 +337,11 @@ impl LogServer {
     pub fn handle_into(&mut self, from: NodeAddr, pkt: &Packet, out: &mut Vec<(NodeAddr, Packet)>) {
         self.stats.packets_in += 1;
         // Ownership guard: a shard drops (never answers) traffic for
-        // another shard's logical log. The dispatcher routes such packets
-        // away before they get here; a routing transport, which steers by
-        // the wire header alone, must *broadcast* body-derived RPCs (zero
-        // hint on the wire) — without this guard a non-owning shard would
-        // answer e.g. `IntervalList` with an empty table and race the
-        // owning shard's real reply.
+        // another shard's logical log. The routing transport steers by
+        // the wire header alone, so it *broadcasts* body-derived RPCs
+        // (zero hint on the wire) — without this guard a non-owning
+        // shard would answer e.g. `IntervalList` with an empty table and
+        // race the owning shard's real reply.
         if self.config.shards > 1
             && pkt.route_key().is_some_and(|id| {
                 id.shard(self.config.shards as usize) != self.config.shard as usize

@@ -1,244 +1,84 @@
 //! Shard supervisor: N per-shard event loops behind one endpoint.
 //!
-//! The paper's log server is one sequential loop; this module splits it
-//! into a thin **dispatcher** that owns the endpoint's receive side and N
-//! **shard loops**, each owning a private [`LogServer`] (and therefore a
-//! private `LogStore`, obligation table, and group-commit window). The
-//! dispatcher decodes nothing itself — the endpoint already produced a
-//! [`Packet`] whose record payloads are zero-copy views into the pooled
-//! receive buffer — and moves the decoded packet to the queue of the
-//! shard `LogId → shard` hashes to. The views survive the cross-thread
-//! handoff: `LogData` is `Arc`-backed, so the pool's buffer stays parked
-//! until the owning shard drops the last view.
-//!
-//! Routing rule (must match [`Packet::route_key`] and
-//! [`LogId::shard`](dlog_types::LogId::shard)):
-//!
-//! * a nonzero `log` header field routes by that id;
-//! * log traffic without a hint routes by the owning client's log;
-//! * generator RPCs route by generator id;
-//! * shard-agnostic control traffic (handshake, `Status`, `Stats`) is
-//!   **broadcast** to every shard — each answers with its own `shard` /
-//!   `shards` gauges so a collector can merge the rows.
+//! The paper's log server is one sequential loop; a sharded server runs
+//! N of them, each a [`ServerRunner`] owning a private [`LogServer`]
+//! (and therefore a private `LogStore`, obligation table, and
+//! group-commit window). The endpoint's transport routes the frames
+//! ([`RoutedEndpoint::shard_rx`]): it steers each still-encoded frame to
+//! the queue of the shard its wire header's log hint hashes to, and
+//! broadcasts zero-hint frames, which every shard but the log's owner
+//! drops ([`LogServer::handle_into`]'s ownership guard). Shard-agnostic
+//! control traffic (handshake, `Status`, `Stats`) is answered by every
+//! shard with its own `shard` / `shards` gauges, so a collector can
+//! merge the rows. A one-shard server receives straight from the
+//! endpoint: no router and no queue hop.
 //!
 //! Replies go out through the same shared endpoint from every shard
 //! (`Endpoint` sends are `&self`); the transports are `Sync`.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::io;
+use std::sync::Arc;
 use std::time::Duration;
 
 use dlog_net::wire::{NodeAddr, Packet};
 use dlog_net::{Endpoint, RoutedEndpoint, ShardRx};
 
+use crate::runner::ServerRunner;
 use crate::LogServer;
 
-/// How many queued packets one shard-loop iteration may ingest before
-/// replies are flushed — same bound (and same rationale) as the
-/// single-loop runner's.
-const INGEST_BATCH: usize = 32;
+/// How often [`ShardSupervisor::wait`] checks whether a loop has ended.
+const WAIT_POLL: Duration = Duration::from_millis(100);
 
-/// One shard's packet queue. The `sleepers` counter lets the dispatcher
-/// skip the condvar syscall entirely while the shard loop is awake — the
-/// common case under load, where the queue never runs dry.
-struct ShardInbox {
-    q: VecDeque<(NodeAddr, Packet)>,
-    sleepers: u32,
-}
-
-struct ShardQueue {
-    inbox: Mutex<ShardInbox>,
-    available: Condvar,
-}
-
-impl ShardQueue {
-    fn new() -> Self {
-        ShardQueue {
-            inbox: Mutex::new(ShardInbox {
-                q: VecDeque::new(),
-                sleepers: 0,
-            }),
-            available: Condvar::new(),
-        }
-    }
-
-    fn push(&self, from: NodeAddr, pkt: Packet) {
-        let Ok(mut inbox) = self.inbox.lock() else {
-            return; // a poisoned queue means the shard loop died; drop
-        };
-        inbox.q.push_back((from, pkt));
-        if inbox.sleepers > 0 {
-            self.available.notify_one();
-        }
-    }
-
-    /// Pop one packet, waiting up to `timeout`. `Duration::ZERO` never
-    /// blocks (the shard loop polls with it while a group commit is
-    /// pending, exactly like the runner's `recv(ZERO)`).
-    fn pop(&self, timeout: Duration) -> Option<(NodeAddr, Packet)> {
-        let mut inbox = self.inbox.lock().ok()?;
-        if let Some(item) = inbox.q.pop_front() {
-            return Some(item);
-        }
-        if timeout.is_zero() {
-            return None;
-        }
-        inbox.sleepers += 1;
-        let (mut inbox, _timed_out) =
-            self.available
-                .wait_timeout(inbox, timeout)
-                .unwrap_or_else(|e| {
-                    let (g, t) = e.into_inner();
-                    (g, t)
-                });
-        inbox.sleepers = inbox.sleepers.saturating_sub(1);
-        inbox.q.pop_front()
-    }
-
-    /// Wake every sleeper (shutdown path).
-    fn wake_all(&self) {
-        self.available.notify_all();
-    }
-}
-
-/// Handle to a running sharded server: one dispatcher thread plus one
-/// event loop per shard. The single-shard degenerate case behaves like
-/// the plain [`crate::runner::ServerRunner`], with one extra queue hop.
+/// Handle to a running server: one event loop per shard.
 pub struct ShardSupervisor {
-    stop: Arc<AtomicBool>,
-    queues: Vec<Arc<ShardQueue>>,
-    dispatcher: Option<JoinHandle<()>>,
-    shards: Vec<Option<JoinHandle<LogServer>>>,
+    runners: Vec<ServerRunner>,
 }
 
 impl ShardSupervisor {
-    /// Spawn the dispatcher and one event loop per element of `servers`
-    /// (shard k serves `servers[k]`; the caller stamps each config with
+    /// Spawn one event loop per element of `servers` (shard k serves
+    /// `servers[k]`; the caller stamps each config with
     /// [`crate::ServerConfig::for_shard`] and opens per-shard storage
-    /// roots). The endpoint is shared: the dispatcher owns its receive
-    /// side, every shard replies through it.
+    /// roots). With one server the loop receives from `endpoint`
+    /// directly; with more, from the endpoint's shard queues.
     ///
     /// # Panics
     /// Panics when `servers` is empty or a thread fails to spawn.
     #[must_use]
-    pub fn spawn<E: Endpoint + Sync + 'static>(
-        servers: Vec<LogServer>,
-        endpoint: E,
-    ) -> ShardSupervisor {
-        assert!(!servers.is_empty(), "a sharded server needs >= 1 shard");
-        let nshards = servers.len();
-        let endpoint = Arc::new(endpoint);
-        let stop = Arc::new(AtomicBool::new(false));
-        let queues: Vec<Arc<ShardQueue>> =
-            (0..nshards).map(|_| Arc::new(ShardQueue::new())).collect();
-
-        let server_id = servers.first().map_or(0, |s| s.id().0);
-        let mut shards = Vec::with_capacity(nshards);
-        for (k, server) in servers.into_iter().enumerate() {
-            let queue = queues.get(k).expect("queue per shard").clone();
-            let ep = endpoint.clone();
-            let stop2 = stop.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("log-server-{server_id}-s{k}"))
-                .spawn(move || shard_loop(server, &stop2, &*ep, |t| queue.pop(t)))
-                .expect("spawn shard thread");
-            shards.push(Some(handle));
-        }
-
-        let stop2 = stop.clone();
-        let routes: Vec<Arc<ShardQueue>> = queues.clone();
-        let dispatcher = std::thread::Builder::new()
-            .name(format!("log-shard-router-{server_id}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match endpoint.recv(Duration::from_millis(20)) {
-                        Ok(Some((from, pkt))) => match pkt.route_key() {
-                            Some(id) => {
-                                if let Some(q) = routes.get(id.shard(routes.len())) {
-                                    q.push(from, pkt);
-                                }
-                            }
-                            None => {
-                                // Shard-agnostic control traffic: every
-                                // shard sees it. Cloning the packet is a
-                                // refcount bump per payload view, and
-                                // control messages carry no records.
-                                for q in &routes {
-                                    q.push(from, pkt.clone());
-                                }
-                            }
-                        },
-                        Ok(None) => {}
-                        Err(_) => break, // endpoint torn down
-                    }
-                }
-            })
-            .expect("spawn shard dispatcher");
-
-        ShardSupervisor {
-            stop,
-            queues,
-            dispatcher: Some(dispatcher),
-            shards: shards.into_iter().collect(),
-        }
-    }
-
-    /// Spawn one event loop per shard on a transport that routes frames
-    /// itself ([`RoutedEndpoint`]): each shard loop receives straight
-    /// from its own routed queue, so there is no dispatcher thread and a
-    /// packet crosses exactly one thread boundary between sender and
-    /// shard. Semantically identical to [`ShardSupervisor::spawn`] — the
-    /// transport applies the same routing rule from the wire header's
-    /// log hint before decode.
-    ///
-    /// # Panics
-    /// Panics when `servers` is empty or a thread fails to spawn.
-    #[must_use]
-    pub fn spawn_routed<E>(servers: Vec<LogServer>, endpoint: E) -> ShardSupervisor
+    pub fn spawn<E>(servers: Vec<LogServer>, endpoint: E) -> ShardSupervisor
     where
         E: RoutedEndpoint + Sync + 'static,
     {
-        assert!(!servers.is_empty(), "a sharded server needs >= 1 shard");
-        let endpoint = Arc::new(endpoint);
-        let stop = Arc::new(AtomicBool::new(false));
-        let server_id = servers.first().map_or(0, |s| s.id().0);
-        let rxs = endpoint.shard_rx(servers.len());
-        let mut shards = Vec::with_capacity(servers.len());
-        for (k, (mut rx, server)) in rxs.into_iter().zip(servers).enumerate() {
-            let ep = endpoint.clone();
-            let stop2 = stop.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("log-server-{server_id}-s{k}"))
-                .spawn(move || shard_loop(server, &stop2, &*ep, |t| rx.recv(t).unwrap_or(None)))
-                .expect("spawn shard thread");
-            shards.push(Some(handle));
-        }
-        ShardSupervisor {
-            stop,
-            queues: Vec::new(),
-            dispatcher: None,
-            shards,
-        }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+        assert!(!servers.is_empty(), "a server needs >= 1 shard");
+        let runners = match <[LogServer; 1]>::try_from(servers) {
+            Ok([only]) => vec![ServerRunner::spawn(only, endpoint)],
+            Err(servers) => {
+                let shared = Arc::new(endpoint);
+                let rxs = shared.shard_rx(servers.len());
+                servers
+                    .into_iter()
+                    .zip(rxs)
+                    .map(|(server, rx)| {
+                        let ep = ShardEndpoint {
+                            shared: Arc::clone(&shared),
+                            rx,
+                        };
+                        ServerRunner::spawn(server, ep)
+                    })
+                    .collect()
+            }
+        };
+        ShardSupervisor { runners }
     }
 
     /// Stop every loop gracefully and recover the per-shard servers, in
     /// shard order. Each shard finishes its pending group commit and
-    /// syncs its store, exactly like the single-loop runner's stop path.
+    /// syncs its store.
     #[must_use]
     pub fn stop(mut self) -> Vec<LogServer> {
-        self.shutdown();
-        self.shards
-            .iter_mut()
-            .filter_map(|slot| slot.take())
-            .map(|h| h.join().expect("shard thread panicked"))
+        self.signal_stop();
+        std::mem::take(&mut self.runners)
+            .into_iter()
+            .map(ServerRunner::stop)
             .collect()
     }
 
@@ -248,94 +88,74 @@ impl ShardSupervisor {
     /// at the moment of the crash, in shard order — per-shard recovery
     /// replays each shard's own storage root independently.
     pub fn crash(mut self) -> Vec<u64> {
-        self.shutdown();
-        self.shards
-            .iter_mut()
-            .filter_map(|slot| slot.take())
-            .map(|h| {
-                let mut server = h.join().expect("shard thread panicked");
-                let end = server.store_mut().stream_end();
-                drop(server);
-                end
-            })
+        self.signal_stop();
+        std::mem::take(&mut self.runners)
+            .into_iter()
+            .map(ServerRunner::crash)
             .collect()
     }
 
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for q in &self.queues {
-            q.wake_all();
+    /// Block until a loop ends by itself, then stop the others and return
+    /// the endpoint failure that ended it. Loops end by themselves only
+    /// when their transport fails, so a healthy server blocks here for
+    /// good; a server process runs this on its main thread.
+    ///
+    /// # Panics
+    /// Re-raises a shard's panic (the ingest path's fail-stop) once the
+    /// other shards have stopped.
+    pub fn wait(mut self) -> io::Error {
+        while !self.runners.iter().any(ServerRunner::is_finished) {
+            std::thread::sleep(WAIT_POLL);
         }
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
+        self.signal_stop();
+        let mut failure = None;
+        let mut panicked = None;
+        for mut runner in std::mem::take(&mut self.runners) {
+            match runner.join_thread() {
+                Some(Ok((_, e))) => failure = failure.or(e),
+                Some(Err(payload)) => panicked = panicked.or(Some(payload)),
+                None => {}
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        failure.unwrap_or_else(|| io::Error::other("server loop ended"))
+    }
+
+    fn signal_stop(&self) {
+        for r in &self.runners {
+            r.signal_stop();
         }
     }
 }
 
 impl Drop for ShardSupervisor {
     fn drop(&mut self) {
-        self.shutdown();
-        for slot in &mut self.shards {
-            if let Some(h) = slot.take() {
-                let _ = h.join();
-            }
-        }
+        // Stop every shard at once; each runner's own drop then joins.
+        self.signal_stop();
     }
 }
 
-/// One shard's event loop, shared by the dispatcher-fed and
-/// transport-routed spawn paths: `next` yields the shard's next packet
-/// (queue pop or routed receive), everything else — ingest batching,
-/// reply flushing, group-commit ticks, idle archive work, and the
-/// final flush-and-sync on stop — is identical.
-fn shard_loop<E: Endpoint + ?Sized>(
-    mut server: LogServer,
-    stop: &AtomicBool,
-    ep: &E,
-    mut next: impl FnMut(Duration) -> Option<(NodeAddr, Packet)>,
-) -> LogServer {
-    let mut replies = Vec::with_capacity(64);
-    while !stop.load(Ordering::Relaxed) {
-        let timeout = if server.has_pending_forces() {
-            Duration::ZERO
-        } else {
-            Duration::from_millis(20)
-        };
-        match next(timeout) {
-            Some((from, pkt)) => {
-                replies.clear();
-                server.handle_into(from, &pkt, &mut replies);
-                for _ in 0..INGEST_BATCH - 1 {
-                    match next(Duration::ZERO) {
-                        Some((from, pkt)) => {
-                            server.handle_into(from, &pkt, &mut replies);
-                        }
-                        None => break,
-                    }
-                }
-                for (to, reply) in replies.drain(..) {
-                    let _ = ep.send(to, &reply);
-                }
-                for (to, reply) in server.force_tick() {
-                    let _ = ep.send(to, &reply);
-                }
-            }
-            None => {
-                if server.has_pending_forces() {
-                    for (to, reply) in server.flush_pending_forces() {
-                        let _ = ep.send(to, &reply);
-                    }
-                } else {
-                    let _ = server.archive_tick();
-                }
-            }
-        }
+/// One shard's endpoint: receives what the transport routed to the
+/// shard, sends through the endpoint every shard shares.
+struct ShardEndpoint<E> {
+    shared: Arc<E>,
+    rx: ShardRx,
+}
+
+impl<E: Endpoint + Sync> Endpoint for ShardEndpoint<E> {
+    fn local_addr(&self) -> NodeAddr {
+        self.shared.local_addr()
     }
-    for (to, reply) in server.flush_pending_forces() {
-        let _ = ep.send(to, &reply);
+
+    fn send(&self, to: NodeAddr, packet: &Packet) -> io::Result<()> {
+        self.shared.send(to, packet)
     }
-    let _ = server.store_mut().sync();
-    server
+
+    fn recv(&self, timeout: Duration) -> io::Result<Option<(NodeAddr, Packet)>> {
+        self.rx.recv(timeout)
+    }
 }
 
 #[cfg(test)]
@@ -343,6 +163,7 @@ mod tests {
     use super::*;
     use crate::gen::GenStore;
     use crate::ServerConfig;
+    use dlog_net::udp::UdpEndpoint;
     use dlog_net::wire::{Message, Request, Response};
     use dlog_net::{FaultPlan, MemNetwork};
     use dlog_storage::{LogStore, NvramDevice, StoreOptions};
@@ -362,6 +183,10 @@ mod tests {
             gens,
         )
         .unwrap()
+    }
+
+    fn loopback() -> std::net::SocketAddr {
+        "127.0.0.1:0".parse().unwrap()
     }
 
     fn tmproot(name: &str) -> std::path::PathBuf {
@@ -419,12 +244,6 @@ mod tests {
         assert_eq!(recovered.len(), 2);
         let total: u64 = recovered.iter().map(|s| s.stats().records_stored).sum();
         assert_eq!(total, 8);
-        for s in &recovered {
-            for c in s.store_stats().tracks_flushed..=0 {
-                // no-op loop; records checked below via per-shard stats
-                let _ = c;
-            }
-        }
         let per_shard: Vec<u64> = recovered.iter().map(|s| s.stats().records_stored).collect();
         assert!(
             per_shard.iter().all(|&n| n > 0),
@@ -432,36 +251,82 @@ mod tests {
         );
     }
 
+    /// Threads of this process whose name is `name`.
+    fn threads_named(name: &str) -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .map(|tasks| {
+                tasks
+                    .filter_map(Result::ok)
+                    .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+                    .filter(|comm| comm.trim_end() == name)
+                    .count()
+            })
+            .unwrap_or(0)
+    }
+
     #[test]
     fn routed_endpoint_path_matches_dispatcher_semantics() {
-        // Same traffic as the dispatcher test, but over spawn_routed:
-        // the transport steers frames from the wire header, no
-        // dispatcher thread exists, and the acks and per-shard
-        // placement come out identical.
-        let root = tmproot("routed");
-        let servers = vec![shard_server(&root, 0, 2), shard_server(&root, 1, 2)];
-        let net = MemNetwork::new(FaultPlan::reliable());
-        let sup = ShardSupervisor::spawn_routed(servers, net.endpoint(NodeAddr(1)));
+        // Four shards over UDP: the endpoint's router thread steers each
+        // datagram by its wire header, as the in-memory transport does on
+        // the sending thread, so acks, the zero-hint broadcast and the
+        // per-shard placement come out as with any other transport.
+        let root = tmproot("udp4");
+        let servers = (0..4).map(|k| shard_server(&root, k, 4)).collect();
+        let server_ep = UdpEndpoint::bind(NodeAddr(4242), loopback()).unwrap();
+        server_ep.set_promiscuous(true);
+        let at = server_ep.socket_addr().unwrap();
+        let sup = ShardSupervisor::spawn(servers, server_ep);
+        // A new thread names itself once it runs.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while threads_named("udp-router-4242") != 1 {
+            assert!(std::time::Instant::now() < deadline, "no router thread");
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
-        let c0 = 1u64;
-        let c1 = (2..64)
-            .find(|&c| LogId(c).shard(2) != LogId(c0).shard(2))
-            .expect("some client maps to the other shard");
-
-        let ep = net.endpoint(NodeAddr(100));
-        ep.send(NodeAddr(1), &force_pkt(c0, 1, 3)).unwrap();
-        ep.send(NodeAddr(1), &force_pkt(c1, 1, 5)).unwrap();
+        let ep = UdpEndpoint::bind(NodeAddr(100), loopback()).unwrap();
+        ep.add_peer(NodeAddr(1), at);
+        let clients: Vec<u64> = (1..64)
+            .scan(std::collections::BTreeSet::new(), |seen, c| {
+                Some(seen.insert(LogId(c).shard(4)).then_some(c))
+            })
+            .flatten()
+            .collect();
+        assert_eq!(clients.len(), 4, "one client per shard");
+        for &c in &clients {
+            ep.send(NodeAddr(1), &force_pkt(c, 1, 3)).unwrap();
+        }
         let mut acks = std::collections::HashMap::new();
-        for _ in 0..2 {
+        while acks.len() < clients.len() {
             let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("ack");
             if let Message::NewHighLsn { client, lsn } = pkt.msg {
                 acks.insert(client.0, lsn.0);
             }
         }
-        assert_eq!(acks.get(&c0), Some(&3));
-        assert_eq!(acks.get(&c1), Some(&5));
+        assert!(clients.iter().all(|c| acks.get(c) == Some(&3)));
 
-        // A shard-agnostic Status request still fans out to every shard.
+        // A bare (zero-hint) IntervalList RPC reaches every shard; only
+        // the owner answers.
+        ep.send(
+            NodeAddr(1),
+            &Packet::bare(Message::Request {
+                id: 12,
+                body: Request::IntervalList {
+                    client: ClientId(clients[2]),
+                },
+            }),
+        )
+        .unwrap();
+        let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("reply");
+        match pkt.msg {
+            Message::Response {
+                id: 12,
+                body: Response::Intervals { intervals },
+            } => assert_eq!(intervals.len(), 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(ep.recv(Duration::from_millis(100)).unwrap().is_none());
+
+        // A shard-agnostic Status request fans out to every shard.
         ep.send(
             NodeAddr(1),
             &Packet::bare(Message::Request {
@@ -471,26 +336,23 @@ mod tests {
         )
         .unwrap();
         let mut rows = std::collections::BTreeSet::new();
-        for _ in 0..2 {
+        for _ in 0..4 {
             let (_, pkt) = ep.recv(Duration::from_secs(5)).unwrap().expect("row");
             if let Message::Response {
                 id: 11,
                 body: Response::Status { shard, shards, .. },
             } = pkt.msg
             {
-                assert_eq!(shards, 2);
+                assert_eq!(shards, 4);
                 rows.insert(shard);
             }
         }
-        assert_eq!(rows, [0u64, 1].into_iter().collect());
+        assert_eq!(rows, (0u64..4).collect());
 
         let recovered = sup.stop();
         let per_shard: Vec<u64> = recovered.iter().map(|s| s.stats().records_stored).collect();
-        assert_eq!(per_shard.iter().sum::<u64>(), 8);
-        assert!(
-            per_shard.iter().all(|&n| n > 0),
-            "both shards must have ingested: {per_shard:?}"
-        );
+        assert_eq!(per_shard, vec![3; 4]);
+        assert_eq!(threads_named("udp-router-4242"), 0, "router outlived stop");
     }
 
     #[test]
@@ -573,5 +435,18 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         drop(sup);
+    }
+
+    #[test]
+    fn wait_returns_the_endpoint_failure() {
+        let root = tmproot("wait");
+        let net = MemNetwork::new(FaultPlan::reliable());
+        let sup =
+            ShardSupervisor::spawn(vec![shard_server(&root, 0, 1)], net.endpoint(NodeAddr(1)));
+        // Split the address behind the loop's back: its endpoint's
+        // receive now fails, which ends the loop, and wait reports why.
+        let _rxs = net.endpoint(NodeAddr(1)).shard_rx(2);
+        let err = sup.wait();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
 }

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crc;
 pub mod duplex;
 pub mod frame;
 pub mod intervals;
@@ -36,6 +35,9 @@ pub mod nvram;
 pub mod store;
 pub mod stream;
 pub mod verify;
+
+/// The workspace CRC-32, re-exported for the frame and archive layers.
+pub use dlog_types::crc;
 
 pub use nvram::NvramDevice;
 pub use store::{LogStore, ReplayState, RetentionReport, StoreOptions, StoreStats};

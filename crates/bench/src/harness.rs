@@ -1,22 +1,28 @@
-//! In-process cluster harness.
+//! In-process cluster harness: real log servers (threaded,
+//! storage-backed) behind one [`Transport`] — the fault-injectable
+//! in-memory network ([`Cluster::start`]) or UDP loopback sockets
+//! ([`Cluster::start_udp`]).
 
 use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dlog_core::assign::AssignStrategy;
 use dlog_core::client::{ClientOptions, ReplicatedLog};
 use dlog_core::net::ClientNet;
+use dlog_net::udp::UdpEndpoint;
 use dlog_net::wire::NodeAddr;
-use dlog_net::{FaultPlan, MemEndpoint, MemNetwork};
-use dlog_server::gen::GenStore;
-use dlog_server::shard::ShardSupervisor;
+use dlog_net::{FaultPlan, MemNetwork, RoutedEndpoint};
+use dlog_server::shard::{shard_root, ShardSupervisor};
 use dlog_server::{LogServer, ServerConfig, ServerStats};
-use dlog_storage::store::Durability;
-use dlog_storage::{LogStore, NvramDevice, StoreOptions, StoreStats};
+use dlog_storage::{NvramDevice, StoreOptions, StoreStats};
 use dlog_types::{ClientId, ReplicationConfig, ServerId};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
+
+/// NVRAM device capacity per server shard.
+const NVRAM_BYTES: usize = 1 << 20;
 
 /// Server addresses are their ids; clients live at 1000 + id.
 #[must_use]
@@ -35,15 +41,11 @@ pub fn client_addr(c: ClientId) -> NodeAddr {
 pub struct ClusterOptions {
     /// Log servers to start.
     pub servers: u64,
-    /// Network fault plan.
+    /// Network fault plan (in-memory network only).
     pub plan: FaultPlan,
     /// `fsync` server segment files (on for durability benchmarks, off
     /// for protocol tests on tmp dirs).
     pub fsync: bool,
-    /// Force durability policy (NVRAM vs fsync-per-force; E8).
-    pub durability: Durability,
-    /// NVRAM device capacity per server.
-    pub nvram_bytes: usize,
     /// Track size (NVRAM flush threshold).
     pub track_bytes: usize,
     /// Segment size override (`None`: the store default).
@@ -66,16 +68,14 @@ pub struct ClusterOptions {
 }
 
 impl ClusterOptions {
-    /// Defaults: reliable network, no fsync, NVRAM durability,
-    /// `DLOG_TEST_SHARDS` shards (1 when unset).
+    /// Defaults: reliable network, no fsync, `DLOG_TEST_SHARDS` shards
+    /// (1 when unset). Forces are durable in NVRAM.
     #[must_use]
     pub fn new(servers: u64) -> Self {
         ClusterOptions {
             servers,
             plan: FaultPlan::reliable(),
             fsync: false,
-            durability: Durability::Nvram,
-            nvram_bytes: 1 << 20,
             track_bytes: 64 * 1024,
             segment_bytes: None,
             archive: false,
@@ -97,19 +97,112 @@ pub fn test_shards() -> u64 {
         .map_or(1, |v| v.max(1))
 }
 
-/// A running in-process cluster.
-pub struct Cluster {
-    /// The network (partition / down control lives here).
-    pub net: MemNetwork,
+/// How a [`Cluster`]'s servers and clients reach each other.
+pub trait Transport {
+    /// The endpoint type of servers and clients alike.
+    type Endpoint: RoutedEndpoint + Sync + 'static;
+
+    /// Bring up server `sid`'s endpoint, at the same address on every
+    /// boot.
+    fn server_endpoint(&mut self, sid: ServerId, obs: dlog_obs::Obs) -> Self::Endpoint;
+
+    /// Cut server `sid` off before its event loops stop (a no-op where
+    /// stopping the loops closes the endpoint).
+    fn server_down(&mut self, _sid: ServerId) {}
+
+    /// An endpoint for client `cid` that reaches every server.
+    fn client_endpoint(&self, cid: ClientId, obs: dlog_obs::Obs) -> Self::Endpoint;
+}
+
+/// The in-memory network: partitions and the [`FaultPlan`] live here.
+impl Transport for MemNetwork {
+    type Endpoint = dlog_net::MemEndpoint;
+
+    fn server_endpoint(&mut self, sid: ServerId, obs: dlog_obs::Obs) -> Self::Endpoint {
+        let mut ep = self.endpoint(server_addr(sid));
+        ep.set_obs(obs);
+        self.set_down(server_addr(sid), false);
+        ep
+    }
+
+    fn server_down(&mut self, sid: ServerId) {
+        self.set_down(server_addr(sid), true);
+    }
+
+    fn client_endpoint(&self, cid: ClientId, obs: dlog_obs::Obs) -> Self::Endpoint {
+        let mut ep = self.endpoint(client_addr(cid));
+        ep.set_obs(obs);
+        ep
+    }
+}
+
+/// UDP loopback, as `dlog-server` runs: each server binds a promiscuous
+/// `127.0.0.1` socket, and a crashed server's socket closes with its
+/// event loops. Clients bind their own sockets and register every
+/// server's address.
+#[derive(Debug, Default)]
+pub struct UdpNet {
+    addrs: HashMap<ServerId, SocketAddr>,
+}
+
+impl UdpNet {
+    /// The socket address server `sid` is bound to (`None` before its
+    /// first boot).
+    #[must_use]
+    pub fn server_socket(&self, sid: ServerId) -> Option<SocketAddr> {
+        self.addrs.get(&sid).copied()
+    }
+}
+
+impl Transport for UdpNet {
+    type Endpoint = UdpEndpoint;
+
+    /// The first boot binds an ephemeral port; a reboot rebinds that
+    /// same port.
+    ///
+    /// # Panics
+    /// Panics, naming the address, when the bind fails.
+    fn server_endpoint(&mut self, sid: ServerId, obs: dlog_obs::Obs) -> Self::Endpoint {
+        let at = self.server_socket(sid).unwrap_or_else(loopback);
+        let mut ep = UdpEndpoint::bind(server_addr(sid), at)
+            .unwrap_or_else(|e| panic!("bind server {sid} at {at}: {e}"));
+        let bound = ep.socket_addr().expect("bound server socket");
+        self.addrs.insert(sid, bound);
+        ep.set_promiscuous(true);
+        ep.set_obs(obs);
+        ep
+    }
+
+    fn client_endpoint(&self, cid: ClientId, obs: dlog_obs::Obs) -> Self::Endpoint {
+        let mut ep = UdpEndpoint::bind(client_addr(cid), loopback()).expect("bind client socket");
+        for (&sid, &at) in &self.addrs {
+            ep.add_peer(server_addr(sid), at);
+        }
+        ep.set_obs(obs);
+        ep
+    }
+}
+
+/// An ephemeral `127.0.0.1` port.
+fn loopback() -> SocketAddr {
+    SocketAddr::from(([127, 0, 0, 1], 0))
+}
+
+/// A running in-process cluster over transport `T`.
+pub struct Cluster<T: Transport = MemNetwork> {
+    /// The network (partition / down control lives here on the
+    /// in-memory network).
+    pub net: T,
     /// The servers' ids.
     pub servers: Vec<ServerId>,
     opts: ClusterOptions,
     /// Each running server's event loops, one per shard.
     running: HashMap<ServerId, ShardSupervisor>,
     nvrams: HashMap<(ServerId, u64), NvramDevice>,
-    /// One observability handle per server *shard*; they survive kills
-    /// and reboots so a scenario's trace spans the server's
-    /// incarnations, and sharded stats never double-count.
+    /// One observability handle per server *shard*, registered on the
+    /// server's first boot; they survive kills and reboots so a
+    /// scenario's trace spans the server's incarnations, and sharded
+    /// stats never double-count.
     server_obs: HashMap<ServerId, Vec<dlog_obs::Obs>>,
     /// One handle shared by every client this cluster builds.
     client_obs: dlog_obs::Obs,
@@ -118,9 +211,25 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Start a cluster.
+    /// Start a cluster on the in-memory network (with `opts.plan`).
     #[must_use]
     pub fn start(tag: &str, opts: ClusterOptions) -> Cluster {
+        let net = MemNetwork::new(opts.plan);
+        Cluster::boot(tag, opts, net)
+    }
+}
+
+impl Cluster<UdpNet> {
+    /// Start a cluster on UDP loopback. `opts.plan` does not apply:
+    /// loopback injects no faults.
+    #[must_use]
+    pub fn start_udp(tag: &str, opts: ClusterOptions) -> Cluster<UdpNet> {
+        Cluster::boot(tag, opts, UdpNet::default())
+    }
+}
+
+impl<T: Transport> Cluster<T> {
+    fn boot(tag: &str, opts: ClusterOptions, net: T) -> Cluster<T> {
         let case = CASE.fetch_add(1, Ordering::Relaxed);
         let (root, cleanup) = match &opts.root {
             Some(r) => (r.clone(), false),
@@ -132,7 +241,6 @@ impl Cluster {
             ),
         };
         let _ = std::fs::remove_dir_all(&root);
-        let net = MemNetwork::new(opts.plan);
         let client_obs = dlog_obs::Obs::new(&opts.obs);
         let mut cluster = Cluster {
             net,
@@ -145,19 +253,7 @@ impl Cluster {
             root,
             cleanup,
         };
-        let shards = cluster.opts.shards.max(1);
         for sid in cluster.servers.clone() {
-            for k in 0..shards {
-                cluster
-                    .nvrams
-                    .insert((sid, k), NvramDevice::new(cluster.opts.nvram_bytes));
-            }
-            cluster.server_obs.insert(
-                sid,
-                (0..shards)
-                    .map(|_| dlog_obs::Obs::new(&cluster.opts.obs))
-                    .collect(),
-            );
             cluster.boot_server(sid);
         }
         cluster
@@ -165,17 +261,6 @@ impl Cluster {
 
     fn server_dir(&self, sid: ServerId) -> PathBuf {
         self.root.join(format!("server-{}", sid.0))
-    }
-
-    /// Shard `k`'s storage root: the server directory itself for an
-    /// unsharded server (the classic layout), a `shard-k/` subdirectory
-    /// otherwise — each shard recovers its own root independently.
-    fn shard_dir(&self, sid: ServerId, k: u64) -> PathBuf {
-        if self.opts.shards.max(1) == 1 {
-            self.server_dir(sid)
-        } else {
-            self.server_dir(sid).join(format!("shard-{k}"))
-        }
     }
 
     /// Each server's archive tier lives beside its data directory.
@@ -204,10 +289,8 @@ impl Cluster {
             .clone();
         let mut servers = Vec::with_capacity(shards as usize);
         for k in 0..shards {
-            let dir = self.shard_dir(sid, k);
             let mut store_opts = StoreOptions {
                 fsync: self.opts.fsync,
-                durability: self.opts.durability,
                 track_bytes: self.opts.track_bytes,
                 checkpoint_every: 0,
                 ..StoreOptions::default()
@@ -218,19 +301,14 @@ impl Cluster {
             let nvram = self
                 .nvrams
                 .entry((sid, k))
-                .or_insert_with(|| NvramDevice::new(self.opts.nvram_bytes))
+                .or_insert_with(|| NvramDevice::new(NVRAM_BYTES))
                 .clone();
-            let store = LogStore::open(&dir, store_opts, nvram).expect("open store");
-            let gens = GenStore::open(dir.join("gens")).expect("open gens");
             let mut config = ServerConfig::new(sid).for_shard(k, shards);
             config.coalesce_window = self.opts.coalesce_window;
-            let mut server = LogServer::new(config, store, gens).expect("server");
+            let dir = shard_root(self.server_dir(sid), k, shards);
+            let mut server = LogServer::open(dir, config, store_opts, nvram).expect("open server");
             if self.opts.archive {
-                let archive_dir = if shards == 1 {
-                    self.archive_dir(sid)
-                } else {
-                    self.archive_dir(sid).join(format!("shard-{k}"))
-                };
+                let archive_dir = shard_root(self.archive_dir(sid), k, shards);
                 let objects =
                     dlog_archive::LocalDirStore::open(archive_dir).expect("open archive dir");
                 server
@@ -251,9 +329,9 @@ impl Cluster {
             }
             servers.push(server);
         }
-        let mut ep = self.net.endpoint(server_addr(sid));
-        ep.set_obs(obs_list.first().cloned().unwrap_or_default());
-        self.net.set_down(server_addr(sid), false);
+        let ep = self
+            .net
+            .server_endpoint(sid, obs_list.first().cloned().unwrap_or_default());
         self.running
             .insert(sid, ShardSupervisor::spawn(servers, ep));
     }
@@ -287,8 +365,7 @@ impl Cluster {
     /// media events.
     pub fn nvram_reset(&mut self, sid: ServerId) {
         for k in 0..self.opts.shards.max(1) {
-            self.nvrams
-                .insert((sid, k), NvramDevice::new(self.opts.nvram_bytes));
+            self.nvrams.insert((sid, k), NvramDevice::new(NVRAM_BYTES));
         }
     }
 
@@ -296,7 +373,7 @@ impl Cluster {
     /// the durable stream end) into each shard's trace so crash
     /// schedules are legible in observability dumps.
     pub fn kill_server(&mut self, sid: ServerId) {
-        self.net.set_down(server_addr(sid), true);
+        self.net.server_down(sid);
         let Some(server) = self.running.remove(&sid) else {
             return;
         };
@@ -312,7 +389,7 @@ impl Cluster {
     /// shard order (a single element on an unsharded server; empty when
     /// the server is not running).
     pub fn stop_server(&mut self, sid: ServerId) -> Vec<LogServer> {
-        self.net.set_down(server_addr(sid), true);
+        self.net.server_down(sid);
         self.running
             .remove(&sid)
             .map_or_else(Vec::new, ShardSupervisor::stop)
@@ -332,7 +409,7 @@ impl Cluster {
 
     /// Build a replicated-log client over this cluster.
     #[must_use]
-    pub fn client(&self, id: u64, n: usize, delta: u64) -> ReplicatedLog<MemEndpoint> {
+    pub fn client(&self, id: u64, n: usize, delta: u64) -> ReplicatedLog<T::Endpoint> {
         self.client_with(id, n, delta, AssignStrategy::Striped)
     }
 
@@ -344,10 +421,9 @@ impl Cluster {
         n: usize,
         delta: u64,
         strategy: AssignStrategy,
-    ) -> ReplicatedLog<MemEndpoint> {
+    ) -> ReplicatedLog<T::Endpoint> {
         let cid = ClientId(id);
-        let mut ep = self.net.endpoint(client_addr(cid));
-        ep.set_obs(self.client_obs.clone());
+        let ep = self.net.client_endpoint(cid, self.client_obs.clone());
         let addrs: HashMap<ServerId, NodeAddr> =
             self.servers.iter().map(|&s| (s, server_addr(s))).collect();
         let net = ClientNet::new(ep, addrs);
@@ -360,7 +436,7 @@ impl Cluster {
     }
 }
 
-impl Drop for Cluster {
+impl<T: Transport> Drop for Cluster<T> {
     fn drop(&mut self) {
         self.running.clear();
         if self.cleanup {
@@ -377,4 +453,49 @@ pub fn payload(i: u64, len: usize) -> Vec<u8> {
         *first = (i % 127) as u8;
     }
     v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlog_obs::{ObsOptions, Stage};
+
+    /// Each shard's `Crash` / `Recover` markers, in trace order.
+    fn markers(cluster: &Cluster, sid: ServerId) -> Vec<Vec<Stage>> {
+        cluster
+            .server_shard_obs(sid)
+            .iter()
+            .map(|obs| {
+                let snap = obs.snapshot().expect("obs on");
+                snap.trace
+                    .iter()
+                    .map(|e| e.stage)
+                    .filter(|s| matches!(s, Stage::Crash | Stage::Recover))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn only_a_reboot_is_marked_as_recovery() {
+        let opts = ClusterOptions {
+            obs: ObsOptions::on(),
+            ..ClusterOptions::new(3)
+        };
+        let mut cluster = Cluster::start("recover-marker", opts);
+        for &sid in &cluster.servers {
+            for shard in markers(&cluster, sid) {
+                assert!(shard.is_empty(), "fresh server {sid} traced {shard:?}");
+            }
+        }
+
+        let victim = ServerId(2);
+        cluster.kill_server(victim);
+        cluster.boot_server(victim);
+        let shards = markers(&cluster, victim);
+        assert_eq!(shards.len() as u64, test_shards());
+        for shard in shards {
+            assert_eq!(shard, [Stage::Crash, Stage::Recover]);
+        }
+    }
 }

@@ -28,10 +28,9 @@ use std::process::exit;
 use dlog_cli::Args;
 use dlog_net::udp::UdpEndpoint;
 use dlog_net::wire::NodeAddr;
-use dlog_server::gen::GenStore;
-use dlog_server::shard::ShardSupervisor;
+use dlog_server::shard::{shard_root, ShardSupervisor};
 use dlog_server::{LogServer, ServerConfig};
-use dlog_storage::{LogStore, NvramDevice, StoreOptions};
+use dlog_storage::{NvramDevice, StoreOptions};
 use dlog_types::ServerId;
 
 fn run() -> Result<(), String> {
@@ -111,26 +110,17 @@ fn run() -> Result<(), String> {
     let archive_dir = args.get::<String>("archive-dir")?;
     let archive_interval_ms: u64 = args.get_or("archive-interval-ms", 1000)?;
 
-    // One log server per shard, each over its own storage root (the
-    // `--dir` itself when unsharded, `--dir/shard-K` otherwise).
+    // One log server per shard, each over its own storage root.
     let mut servers = Vec::new();
     let mut obs0 = dlog_obs::Obs::off();
     for k in 0..shards {
-        let shard_dir = if shards == 1 {
-            dir.clone()
-        } else {
-            format!("{dir}/shard-{k}")
-        };
-        let nvram = NvramDevice::new(nvram_kb * 1024);
-        let store = LogStore::open(&shard_dir, opts.clone(), nvram)
-            .map_err(|e| format!("open store {shard_dir}: {e}"))?;
-        let gens = GenStore::open(format!("{shard_dir}/gens"))
-            .map_err(|e| format!("open generator store: {e}"))?;
+        let shard_dir = shard_root(&dir, k, shards);
         let mut config = ServerConfig::new(ServerId(id)).for_shard(k, shards);
         config.coalesce_window = std::time::Duration::from_micros(coalesce_us);
         config.coalesce_max_batch = coalesce_max.max(1);
-        let mut server =
-            LogServer::new(config, store, gens).map_err(|e| format!("construct server: {e}"))?;
+        let nvram = NvramDevice::new(nvram_kb * 1024);
+        let mut server = LogServer::open(&shard_dir, config, opts.clone(), nvram)
+            .map_err(|e| format!("open server {}: {e}", shard_dir.display()))?;
         let obs = if no_obs {
             dlog_obs::Obs::off()
         } else {
@@ -141,21 +131,18 @@ fn run() -> Result<(), String> {
             obs0 = obs;
         }
         if let Some(archive_root) = &archive_dir {
-            let shard_archive = if shards == 1 {
-                archive_root.clone()
-            } else {
-                format!("{archive_root}/shard-{k}")
-            };
+            let shard_archive = shard_root(archive_root, k, shards);
+            let shown = shard_archive.display();
             let objects = dlog_archive::LocalDirStore::open(&shard_archive)
-                .map_err(|e| format!("open archive {shard_archive}: {e}"))?;
+                .map_err(|e| format!("open archive {shown}: {e}"))?;
             server
                 .attach_archive(
                     std::sync::Arc::new(objects),
                     std::time::Duration::from_millis(archive_interval_ms),
                 )
-                .map_err(|e| format!("attach archive {shard_archive}: {e}"))?;
+                .map_err(|e| format!("attach archive {shown}: {e}"))?;
             eprintln!(
-                "dlog-server {id}: shard {k} archiving to {shard_archive} \
+                "dlog-server {id}: shard {k} archiving to {shown} \
                  every {archive_interval_ms} ms"
             );
         }

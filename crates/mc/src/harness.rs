@@ -4,12 +4,14 @@
 //!
 //! Threads are the only source of nondeterminism in the full harness,
 //! so driving `LogServer::handle` synchronously — under one lock, on
-//! the test thread — makes whole runs replay deterministically. Both
-//! `tests/trace_determinism.rs` and `tests/group_commit.rs` are built
-//! on this world (they used to carry private near-copies of it); the
-//! model checker's [`crate::model::McWorld`] replaces the seeded RNG
-//! with explicit action enumeration but reuses the same server
-//! construction.
+//! the test thread — makes whole runs replay deterministically. Three
+//! suites are built on this world: `tests/trace_determinism.rs`,
+//! `tests/group_commit.rs` and the scripted-fault protocol tests of
+//! `tests/sync_cluster.rs` (which mute a server by taking it out of
+//! [`SyncWorld::servers`] and lose packets with `plan.loss = 1.0`).
+//! The model checker's [`crate::model::McWorld`] replaces the seeded
+//! RNG with explicit action enumeration; both open their servers with
+//! [`LogServer::open`].
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -23,9 +25,8 @@ use rand::{Rng, SeedableRng};
 use dlog_net::wire::{Message, NodeAddr, Packet};
 use dlog_net::{Endpoint, FaultPlan};
 use dlog_obs::{Obs, ObsOptions, Stage};
-use dlog_server::gen::GenStore;
 use dlog_server::{LogServer, ServerConfig};
-use dlog_storage::{LogStore, NvramDevice, StoreOptions};
+use dlog_storage::{NvramDevice, StoreOptions};
 use dlog_types::{Lsn, Result, ServerId};
 
 /// How the servers of a [`SyncWorld`] attach observability.
@@ -156,29 +157,27 @@ impl SyncWorld {
         }
     }
 
+    /// Hand `pkt` to the live server at `to`, or queue it for the
+    /// client when a server sent it.
     fn route(&mut self, from: NodeAddr, to: NodeAddr, pkt: Packet) {
-        if self.servers.contains_key(&to) {
-            let (replies, flushed) = {
-                let Some(server) = self.servers.get_mut(&to) else {
-                    return;
-                };
-                let replies = server.handle(from, &pkt);
-                // Order matters for replay determinism: the flush roll
-                // is drawn only when obligations are actually pending,
-                // exactly as the original group-commit world did.
-                let flush = self.flush_p > 0.0
-                    && server.has_pending_forces()
-                    && self.rng.gen_bool(self.flush_p);
-                let flushed = if flush {
-                    server.flush_pending_forces()
-                } else {
-                    Vec::new()
-                };
-                (replies, flushed)
+        if let Some(server) = self.servers.get_mut(&to) {
+            let replies = server.handle(from, &pkt);
+            // Order matters for replay determinism: the flush roll is
+            // drawn only when obligations are actually pending, exactly
+            // as the original group-commit world did.
+            let flush = self.flush_p > 0.0
+                && server.has_pending_forces()
+                && self.rng.gen_bool(self.flush_p);
+            let flushed = if flush {
+                server.flush_pending_forces()
+            } else {
+                Vec::new()
             };
             for (rto, rpkt) in replies.into_iter().chain(flushed) {
                 self.deliver(to, rto, &rpkt);
             }
+        } else if !self.servers.contains_key(&from) {
+            // A client send to an address with no live server is lost.
         } else if self.plan.reorder > 0.0
             && !self.inbox.is_empty()
             && self.rng.gen_bool(self.plan.reorder)
@@ -250,33 +249,6 @@ impl Endpoint for SyncEndpoint {
     }
 }
 
-/// Open one synchronous-world server: store (fsync off — durability is
-/// modelled by the NVRAM device, and the sync world never crashes the
-/// host), generator state, protocol wrapper.
-///
-/// # Errors
-/// Propagates store/generator open failures.
-pub fn open_server(
-    dir: &Path,
-    id: ServerId,
-    coalesce_window: Duration,
-    coalesce_max_batch: usize,
-    ack_every: u64,
-) -> Result<LogServer> {
-    let opts = StoreOptions {
-        fsync: false,
-        checkpoint_every: 0,
-        ..StoreOptions::default()
-    };
-    let store = LogStore::open(dir, opts, NvramDevice::new(1 << 20))?;
-    let gens = GenStore::open(dir.join("gens"))?;
-    let mut config = ServerConfig::new(id);
-    config.coalesce_window = coalesce_window;
-    config.coalesce_max_batch = coalesce_max_batch;
-    config.ack_every = ack_every;
-    LogServer::new(config, store, gens)
-}
-
 /// What [`build_world`] hands back: the shared world handle plus each
 /// server's observability handle in address order.
 pub type BuiltWorld = (Arc<Mutex<SyncWorld>>, Vec<(NodeAddr, Obs)>);
@@ -292,14 +264,19 @@ pub fn build_world(dir: &Path, opts: SyncWorldOptions) -> Result<BuiltWorld> {
     let mut servers = HashMap::new();
     let mut observers = Vec::new();
     for id in 1..=opts.servers {
-        let d = dir.join(format!("server-{id}"));
-        let mut server = open_server(
-            &d,
-            ServerId(id),
-            opts.coalesce_window,
-            opts.coalesce_max_batch,
-            ServerConfig::new(ServerId(id)).ack_every,
-        )?;
+        let mut config = ServerConfig::new(ServerId(id));
+        config.coalesce_window = opts.coalesce_window;
+        config.coalesce_max_batch = opts.coalesce_max_batch;
+        // fsync off: durability is modelled by the NVRAM device, and the
+        // sync world never crashes the host.
+        let store_opts = StoreOptions {
+            fsync: false,
+            checkpoint_every: 0,
+            ..StoreOptions::default()
+        };
+        let nvram = NvramDevice::new(1 << 20);
+        let mut server =
+            LogServer::open(dir.join(format!("server-{id}")), config, store_opts, nvram)?;
         let obs = match &opts.obs {
             ObsMode::Shared(shared) => shared.clone(),
             ObsMode::PerServer => Obs::new(&ObsOptions::on()),

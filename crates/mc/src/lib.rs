@@ -14,8 +14,8 @@
 //! Layout:
 //!
 //! * [`harness`] — the synchronous sans-I/O cluster (`SyncWorld` /
-//!   `SyncEndpoint`) shared by `tests/trace_determinism.rs` and
-//!   `tests/group_commit.rs`, which used to carry private copies.
+//!   `SyncEndpoint`) shared by `tests/trace_determinism.rs`,
+//!   `tests/group_commit.rs` and `tests/sync_cluster.rs`.
 //! * [`model`] — the checker's world: the action alphabet, a steppable
 //!   model client, crash/recover semantics, canonical state
 //!   fingerprinting, and the invariant catalog.

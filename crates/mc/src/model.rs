@@ -452,22 +452,14 @@ impl McWorld {
         shard: u64,
         nvram: Option<NvramDevice>,
     ) -> Result<(LogServer, Obs, NvramDevice), String> {
-        let d = if cfg.shards <= 1 {
-            dir.join(format!("server-{sid}"))
-        } else {
-            dir.join(format!("server-{sid}"))
-                .join(format!("shard-{shard}"))
-        };
+        let d =
+            dlog_server::shard::shard_root(dir.join(format!("server-{sid}")), shard, cfg.shards);
         let device = nvram.unwrap_or_else(|| NvramDevice::new(NVRAM_CAP));
         let opts = dlog_storage::StoreOptions {
             fsync: false,
             checkpoint_every: 0,
             ..dlog_storage::StoreOptions::default()
         };
-        let store = dlog_storage::LogStore::open(&d, opts, device.clone())
-            .map_err(|e| format!("open store {sid}: {e}"))?;
-        let gens = dlog_server::gen::GenStore::open(d.join("gens"))
-            .map_err(|e| format!("open gens {sid}: {e}"))?;
         let mut config = dlog_server::ServerConfig::new(ServerId(sid)).for_shard(shard, cfg.shards);
         // Force acks must never happen behind the model's back: lazy
         // acks off, and a coalescing window no transition can outwait —
@@ -475,7 +467,7 @@ impl McWorld {
         config.ack_every = 0;
         config.coalesce_window = Duration::from_secs(3600);
         config.coalesce_max_batch = cfg.coalesce_max_batch;
-        let mut server = dlog_server::LogServer::new(config, store, gens)
+        let mut server = dlog_server::LogServer::open(&d, config, opts, device.clone())
             .map_err(|e| format!("boot server {sid}: {e}"))?;
         let handle = Obs::new(&ObsOptions::on());
         server.set_obs(handle.clone());

@@ -33,12 +33,13 @@ pub mod runner;
 pub mod shard;
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dlog_archive::{merge_interval_lists, ArchiveReader, Archiver, ObjectStore};
 use dlog_net::wire::{codes, Message, NodeAddr, Packet, Request, Response, MAX_PACKET_BYTES};
-use dlog_storage::LogStore;
+use dlog_storage::{LogStore, NvramDevice, StoreOptions};
 use dlog_types::{ClientId, DlogError, Epoch, LogData, LogRecord, Lsn, Result, ServerId};
 
 use crate::gen::GenStore;
@@ -195,6 +196,25 @@ impl LogServer {
             ingest_allocs: 0,
             ingest_records: 0,
         })
+    }
+
+    /// Open the log server stored at `dir`: the [`LogStore`] at `dir`
+    /// (recovered from its segments and `nvram`) and the generator
+    /// representatives at `dir/gens`. A sharded server opens one per
+    /// [`shard::shard_root`].
+    ///
+    /// # Errors
+    /// Propagates store and generator-state open failures.
+    pub fn open(
+        dir: impl AsRef<Path>,
+        config: ServerConfig,
+        store_opts: StoreOptions,
+        nvram: NvramDevice,
+    ) -> Result<LogServer> {
+        let dir = dir.as_ref();
+        let store = LogStore::open(dir, store_opts, nvram)?;
+        let gens = GenStore::open(dir.join("gens"))?;
+        LogServer::new(config, store, gens)
     }
 
     /// Attach an observability handle. The same handle is propagated to
@@ -873,7 +893,6 @@ impl LogServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlog_storage::{NvramDevice, StoreOptions};
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -892,9 +911,13 @@ mod tests {
             checkpoint_every: 0,
             ..StoreOptions::default()
         };
-        let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
-        let gens = GenStore::open(dir.join("gens")).unwrap();
-        LogServer::new(ServerConfig::new(ServerId(1)), store, gens).unwrap()
+        LogServer::open(
+            dir,
+            ServerConfig::new(ServerId(1)),
+            opts,
+            NvramDevice::new(1 << 20),
+        )
+        .unwrap()
     }
 
     fn batch(lo: u64, hi: u64) -> Vec<(Lsn, LogData)> {

@@ -182,11 +182,10 @@ fn event_loop<E: Endpoint>(mut server: LogServer, stop: &AtomicBool, endpoint: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::GenStore;
     use crate::ServerConfig;
     use dlog_net::wire::{Message, NodeAddr, Packet, Request, Response};
     use dlog_net::{FaultPlan, MemNetwork};
-    use dlog_storage::{LogStore, NvramDevice, StoreOptions};
+    use dlog_storage::{NvramDevice, StoreOptions};
     use dlog_types::{ClientId, Epoch, LogData, Lsn, ServerId};
 
     #[test]
@@ -199,9 +198,13 @@ mod tests {
             fsync: false,
             ..StoreOptions::default()
         };
-        let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
-        let gens = GenStore::open(dir.join("gens")).unwrap();
-        let server = LogServer::new(ServerConfig::new(ServerId(1)), store, gens).unwrap();
+        let server = LogServer::open(
+            &dir,
+            ServerConfig::new(ServerId(1)),
+            opts,
+            NvramDevice::new(1 << 20),
+        )
+        .unwrap();
 
         let net = MemNetwork::new(FaultPlan::reliable());
         let server_ep = net.endpoint(NodeAddr(1));

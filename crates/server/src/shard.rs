@@ -17,6 +17,7 @@
 //! (`Endpoint` sends are `&self`); the transports are `Sync`.
 
 use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,6 +29,20 @@ use crate::LogServer;
 
 /// How often [`ShardSupervisor::wait`] checks whether a loop has ended.
 const WAIT_POLL: Duration = Duration::from_millis(100);
+
+/// Shard `shard`'s storage root under a server directory `dir`: `dir`
+/// itself on a one-shard server, `dir/shard-{shard}` otherwise. Each
+/// shard recovers its own root independently; a server's archive roots
+/// follow the same rule.
+#[must_use]
+pub fn shard_root(dir: impl AsRef<Path>, shard: u64, shards: u64) -> PathBuf {
+    let dir = dir.as_ref();
+    if shards <= 1 {
+        dir.to_path_buf()
+    } else {
+        dir.join(format!("shard-{shard}"))
+    }
+}
 
 /// Handle to a running server: one event loop per shard.
 pub struct ShardSupervisor {
@@ -161,26 +176,23 @@ impl<E: Endpoint + Sync> Endpoint for ShardEndpoint<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::GenStore;
     use crate::ServerConfig;
     use dlog_net::udp::UdpEndpoint;
     use dlog_net::wire::{Message, Request, Response};
     use dlog_net::{FaultPlan, MemNetwork};
-    use dlog_storage::{LogStore, NvramDevice, StoreOptions};
+    use dlog_storage::{NvramDevice, StoreOptions};
     use dlog_types::{ClientId, Epoch, LogData, LogId, Lsn, ServerId};
 
-    fn shard_server(root: &std::path::Path, shard: u64, shards: u64) -> LogServer {
-        let dir = root.join(format!("shard-{shard}"));
+    fn shard_server(root: &Path, shard: u64, shards: u64) -> LogServer {
         let opts = StoreOptions {
             fsync: false,
             ..StoreOptions::default()
         };
-        let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
-        let gens = GenStore::open(dir.join("gens")).unwrap();
-        LogServer::new(
+        LogServer::open(
+            shard_root(root, shard, shards),
             ServerConfig::new(ServerId(1)).for_shard(shard, shards),
-            store,
-            gens,
+            opts,
+            NvramDevice::new(1 << 20),
         )
         .unwrap()
     }
@@ -189,7 +201,7 @@ mod tests {
         "127.0.0.1:0".parse().unwrap()
     }
 
-    fn tmproot(name: &str) -> std::path::PathBuf {
+    fn tmproot(name: &str) -> PathBuf {
         let d = std::env::temp_dir()
             .join("dlog-shard-tests")
             .join(format!("{name}-{}", std::process::id()));

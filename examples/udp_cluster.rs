@@ -5,69 +5,23 @@
 //!
 //! Run with: `cargo run -p dlog-bench --example udp_cluster`
 
-use std::collections::HashMap;
-use std::net::SocketAddr;
-
-use dlog_core::client::{ClientOptions, ReplicatedLog};
-use dlog_core::net::ClientNet;
-use dlog_net::udp::UdpEndpoint;
-use dlog_net::wire::NodeAddr;
-use dlog_server::gen::GenStore;
-use dlog_server::runner::ServerRunner;
-use dlog_server::{LogServer, ServerConfig};
-use dlog_storage::{LogStore, NvramDevice, StoreOptions};
-use dlog_types::{ClientId, Lsn, ReplicationConfig, ServerId};
-
-fn loopback() -> SocketAddr {
-    "127.0.0.1:0".parse().unwrap()
-}
+use dlog_bench::{Cluster, ClusterOptions};
+use dlog_types::Lsn;
 
 fn main() {
-    let root = std::env::temp_dir().join(format!("dlog-udp-example-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    // Three log servers, each on its own promiscuous UDP socket, as
+    // `dlog-server` runs them.
+    let mut cluster = Cluster::start_udp("udp-example", ClusterOptions::new(3));
+    let sockets: Vec<_> = cluster
+        .servers
+        .iter()
+        .filter_map(|&sid| cluster.net.server_socket(sid))
+        .collect();
+    println!("three log servers listening on UDP: {sockets:?}");
 
-    // Start three servers, each on its own UDP socket.
-    let server_ids: Vec<ServerId> = (1..=3).map(ServerId).collect();
-    let mut endpoints = Vec::new();
-    for &sid in &server_ids {
-        let ep = UdpEndpoint::bind(NodeAddr(sid.0), loopback()).expect("bind server socket");
-        endpoints.push(ep);
-    }
-    let socket_addrs: Vec<SocketAddr> =
-        endpoints.iter().map(|e| e.socket_addr().unwrap()).collect();
-
-    // The client's socket, with the full directory.
-    let client_ep = UdpEndpoint::bind(NodeAddr(1000), loopback()).expect("bind client socket");
-    for (i, &sid) in server_ids.iter().enumerate() {
-        client_ep.add_peer(NodeAddr(sid.0), socket_addrs[i]);
-    }
-    let client_sock = client_ep.socket_addr().unwrap();
-
-    // Servers need the client (and each other is unnecessary — servers
-    // never talk to servers in this design).
-    let mut runners = Vec::new();
-    for (i, ep) in endpoints.into_iter().enumerate() {
-        ep.add_peer(NodeAddr(1000), client_sock);
-        let sid = server_ids[i];
-        let dir = root.join(format!("server-{}", sid.0));
-        let opts = StoreOptions {
-            fsync: false,
-            checkpoint_every: 0,
-            ..StoreOptions::default()
-        };
-        let store = LogStore::open(&dir, opts, NvramDevice::new(1 << 20)).unwrap();
-        let gens = GenStore::open(dir.join("gens")).unwrap();
-        let server = LogServer::new(ServerConfig::new(sid), store, gens).unwrap();
-        runners.push(ServerRunner::spawn(server, ep));
-    }
-    println!("three log servers listening on UDP: {socket_addrs:?}");
-
-    // A replicated log over UDP.
-    let addrs: HashMap<ServerId, NodeAddr> =
-        server_ids.iter().map(|&s| (s, NodeAddr(s.0))).collect();
-    let net = ClientNet::new(client_ep, addrs);
-    let config = ReplicationConfig::new(server_ids.clone(), 2, 8).unwrap();
-    let mut log = ReplicatedLog::new(ClientId(1), ClientOptions::new(config), net);
+    // A replicated log over UDP: the client binds its own socket and
+    // registers every server's address.
+    let mut log = cluster.client(1, 2, 8);
     log.initialize().expect("initialize over UDP");
     println!(
         "client initialized over UDP: epoch {}, targets {:?}",
@@ -89,14 +43,10 @@ fn main() {
         String::from_utf8_lossy(d.as_bytes())
     );
 
-    for r in runners {
-        let server = r.stop();
+    for (sid, stats, _) in cluster.stop_all() {
         println!(
-            "server {} stored {} records ({} packets in)",
-            server.id(),
-            server.stats().records_stored,
-            server.stats().packets_in
+            "server {sid} stored {} records ({} packets in)",
+            stats.records_stored, stats.packets_in
         );
     }
-    let _ = std::fs::remove_dir_all(&root);
 }
